@@ -44,7 +44,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.core.build import TSBuildOptions, build_treesketch
+from repro.core.build import KERNELS, TSBuildOptions, build_treesketch
 from repro.core.estimate import estimate_selectivity
 from repro.core.evaluate import eval_query
 from repro.core.expand import expand_result
@@ -1091,13 +1091,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--memo-cache", action="store_true",
                    help="persist/reuse the TSBUILD merge-score memo in the "
                         "source's .cache sidecar (synopsis sources only)")
-    p.add_argument("--kernel",
-                   choices=("auto", "dicts", "arrays", "numpy"),
-                   default="auto",
-                   help="TSBUILD scoring backend (bit-identical output; "
-                        "auto picks by shape and upgrades to numpy block "
-                        "scoring when numpy is available; see "
-                        "docs/PERFORMANCE.md)")
+    p.add_argument("--kernel", choices=KERNELS, default="auto",
+                   help="TSBUILD partition backend (bit-identical output; "
+                        "auto picks dicts or arrays by the summary's edge "
+                        "density; see docs/PERFORMANCE.md)")
     p.add_argument("--profile", metavar="FILE",
                    help="dump a cProfile pstats file for the run")
     p.add_argument(
@@ -1188,10 +1185,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="estimate all selectivities in one vectorized pass "
                         "(numpy when available; ignored in --server mode)")
-    p.add_argument("--kernel",
-                   choices=("auto", "dicts", "arrays", "numpy"),
-                   default="auto",
-                   help="TSBUILD scoring backend for the built sketch "
+    p.add_argument("--kernel", choices=KERNELS, default="auto",
+                   help="TSBUILD partition backend for the built sketch "
                         "(bit-identical output; ignored in --server mode)")
     p.add_argument("--profile", metavar="FILE",
                    help="dump a cProfile pstats file for the run")

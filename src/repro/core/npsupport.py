@@ -39,11 +39,3 @@ def get_numpy():
 def have_numpy() -> bool:
     return get_numpy() is not None
 
-
-def np_index_dtype(np):
-    """The dtype vectorized kernels use for id/index arrays.
-
-    ``np.intp`` matches the width CPython itself indexes with, so gathers
-    and ``np.add.at`` scatters take the no-conversion fast path.
-    """
-    return np.intp

@@ -391,18 +391,6 @@ class MergePartition:
         memo[key] = (ver_u, ver_v, ratio, errd, sized)
         return ratio, errd, sized
 
-    def eval_block(self, pairs: List[Tuple[int, int]],
-                   min_sources: Optional[int] = None) -> List[Tuple[float, int]]:
-        """``(errd, sized)`` per pair (``min_sources`` is a routing hint
-        for the vectorized override; it never changes the result).
-
-        Serial here; :class:`repro.core.kernel.KernelPartition` overrides
-        this with a vectorized pass when its numpy path is enabled.  Both
-        implementations are bitwise-identical to per-pair ``_eval_raw``.
-        """
-        raw = self._eval_raw
-        return [raw(u, v) for u, v in pairs]
-
     # ------------------------------------------------------------------
     # Applying a merge
     # ------------------------------------------------------------------

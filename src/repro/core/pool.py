@@ -24,10 +24,9 @@ Performance machinery (docs/PERFORMANCE.md):
   per-level re-sort;
 * ``memoize=True`` scores through the partition's versioned merge memo, so
   pairs whose neighbourhood is unchanged since the previous regeneration
-  are not re-scored;
-* ``workers > 1`` fans the miss-scoring across a fork-based process pool,
-  one task per (label, depth) group, merging results into the same
-  deterministic bounded-best structure.
+  are not re-scored.
+
+Every pool miss is scored by one call to the partition's ``_eval_raw``.
 
 All variants emit the *same candidate set* as the seed implementation
 (:func:`create_pool_reference`): candidate selection in the bounded heap is
@@ -58,7 +57,7 @@ class _BoundedBest:
 
     Selection is a top-``limit`` under the *total* order of the (negated)
     entry tuples, so the retained set does not depend on push order — the
-    property the incremental and parallel generation paths rely on.
+    property the incremental generation path relies on.
     """
 
     def __init__(self, limit: int) -> None:
@@ -252,45 +251,6 @@ def _level_pairs(
 
 
 # ----------------------------------------------------------------------
-# Parallel scoring (workers > 1): fork-based process pool
-# ----------------------------------------------------------------------
-
-_WORKER_PARTITION = None  # MergePartition or KernelPartition (fork-shared)
-
-
-def _worker_init(partition) -> None:
-    global _WORKER_PARTITION
-    _WORKER_PARTITION = partition
-
-
-def _worker_score(pairs: List[Tuple[int, int]]) -> List[PoolEntry]:
-    part = _WORKER_PARTITION
-    raw = part._eval_raw
-    out: List[PoolEntry] = []
-    append = out.append
-    for u, v in pairs:
-        errd, sized = raw(u, v)
-        ratio = errd / sized if sized > 0 else float("inf")
-        append((ratio, errd, sized, u, v))
-    return out
-
-
-def _make_worker_pool(partition, workers: int):
-    """A fork-context pool whose workers share ``partition`` by COW memory.
-
-    Returns None when fork is unavailable (caller falls back to serial).
-    """
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-    return ctx.Pool(processes=workers, initializer=_worker_init,
-                    initargs=(partition,))
-
-
-# ----------------------------------------------------------------------
 # Optimized CREATEPOOL
 # ----------------------------------------------------------------------
 
@@ -303,7 +263,6 @@ def create_pool(
     *,
     state: Optional[PoolState] = None,
     memoize: bool = False,
-    workers: int = 1,
 ) -> List[PoolEntry]:
     """Generate up to ``heap_upper`` scored merge candidates, bottom-up.
 
@@ -318,9 +277,8 @@ def create_pool(
 
     ``state`` reuses an incrementally maintained :class:`PoolState`
     instead of regrouping from scratch; ``memoize`` routes scoring through
-    the partition's versioned merge memo; ``workers > 1`` scores memo
-    misses on a process pool.  All combinations return the same candidate
-    set (property-tested in tests/test_build_equivalence.py).
+    the partition's versioned merge memo.  All combinations return the
+    same candidate set (property-tested in tests/test_build_equivalence.py).
     """
     best = _BoundedBest(heap_upper)
 
@@ -358,110 +316,75 @@ def create_pool(
 
     memo = partition.merge_memo if memoize else None
     version = partition.version
-    eval_block = partition.eval_block
+    raw = partition._eval_raw
 
     # The bounded-best push, inlined for the million-candidate hot loops.
     heap = best._heap
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
-    worker_pool = None
-    if workers and workers > 1:
-        worker_pool = _make_worker_pool(partition, workers)
-    try:
-        for level in range(max_depth + 1):
-            tasks: List[List[Tuple[int, int]]] = []
-            for buckets, acc in active:
-                news = buckets.get(level)
-                if not news:
-                    continue
-                pairs = _level_pairs(
-                    list(news) if not isinstance(news, list) else news,
-                    acc, pair_window, key_of,
-                )
-                if not pairs:
-                    continue
-                if memo is not None:
-                    # Serve memo hits inline; only misses need scoring.
-                    hits = 0
-                    misses: List[Tuple[int, int]] = []
-                    miss = misses.append
-                    for pair in pairs:
-                        entry = memo.get(pair)
-                        if (
-                            entry is not None
-                            and entry[0] == version[pair[0]]
-                            and entry[1] == version[pair[1]]
-                        ):
-                            hits += 1
-                            if entry[4] <= 0:
-                                continue  # non-improving: never pooled
-                            item = (-entry[2], entry[3], entry[4],
-                                    pair[0], pair[1])
-                            if len(heap) < heap_upper:
-                                heappush(heap, item)
-                            elif item > heap[0]:
-                                heapreplace(heap, item)
-                        else:
-                            miss(pair)
-                    partition.memo_hits += hits
-                    pairs = misses
-                    if not pairs:
-                        continue
-                if worker_pool is not None:
-                    tasks.append(pairs)
-                    continue
-                if memo is not None:
-                    partition.memo_misses += len(pairs)
-                    # eval_block == per-pair raw() bitwise; it only
-                    # vectorizes on the numpy kernel (large unions).
-                    for (u, v), (errd, sized) in zip(
-                        pairs, eval_block(pairs)
+    for level in range(max_depth + 1):
+        for buckets, acc in active:
+            news = buckets.get(level)
+            if not news:
+                continue
+            pairs = _level_pairs(
+                list(news) if not isinstance(news, list) else news,
+                acc, pair_window, key_of,
+            )
+            if not pairs:
+                continue
+            if memo is not None:
+                # Serve memo hits inline; only misses need scoring.
+                hits = 0
+                misses: List[Tuple[int, int]] = []
+                miss = misses.append
+                for pair in pairs:
+                    entry = memo.get(pair)
+                    if (
+                        entry is not None
+                        and entry[0] == version[pair[0]]
+                        and entry[1] == version[pair[1]]
                     ):
-                        if sized > 0:
-                            ratio = errd / sized
-                        else:
-                            ratio = float("inf")
-                        memo[(u, v)] = (version[u], version[v],
-                                        ratio, errd, sized)
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-ratio, errd, sized, u, v)
+                        hits += 1
+                        if entry[4] <= 0:
+                            continue  # non-improving: never pooled
+                        item = (-entry[2], entry[3], entry[4],
+                                pair[0], pair[1])
                         if len(heap) < heap_upper:
                             heappush(heap, item)
                         elif item > heap[0]:
                             heapreplace(heap, item)
-                else:
-                    for (u, v), (errd, sized) in zip(
-                        pairs, eval_block(pairs)
-                    ):
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-(errd / sized), errd, sized, u, v)
-                        if len(heap) < heap_upper:
-                            heappush(heap, item)
-                        elif item > heap[0]:
-                            heapreplace(heap, item)
-            if worker_pool is not None and tasks:
-                for chunk in worker_pool.map(_worker_score, tasks):
-                    if memo is not None:
-                        partition.memo_misses += len(chunk)
-                    for ratio, errd, sized, u, v in chunk:
-                        if memo is not None:
-                            memo[(u, v)] = (version[u], version[v],
-                                            ratio, errd, sized)
-                        if sized <= 0:
-                            continue  # non-improving: skip at insertion
-                        item = (-ratio, errd, sized, u, v)
-                        if len(heap) < heap_upper:
-                            heappush(heap, item)
-                        elif item > heap[0]:
-                            heapreplace(heap, item)
-            if stop_when_full and len(best) >= heap_upper:
-                break
-    finally:
-        if worker_pool is not None:
-            worker_pool.close()
-            worker_pool.join()
+                    else:
+                        miss(pair)
+                partition.memo_hits += hits
+                partition.memo_misses += len(misses)
+                for u, v in misses:
+                    errd, sized = raw(u, v)
+                    if sized > 0:
+                        ratio = errd / sized
+                    else:
+                        ratio = float("inf")
+                    memo[(u, v)] = (version[u], version[v],
+                                    ratio, errd, sized)
+                    if sized <= 0:
+                        continue  # non-improving: skip at insertion
+                    item = (-ratio, errd, sized, u, v)
+                    if len(heap) < heap_upper:
+                        heappush(heap, item)
+                    elif item > heap[0]:
+                        heapreplace(heap, item)
+            else:
+                for u, v in pairs:
+                    errd, sized = raw(u, v)
+                    if sized <= 0:
+                        continue  # non-improving: skip at insertion
+                    item = (-(errd / sized), errd, sized, u, v)
+                    if len(heap) < heap_upper:
+                        heappush(heap, item)
+                    elif item > heap[0]:
+                        heapreplace(heap, item)
+        if stop_when_full and len(best) >= heap_upper:
+            break
     return best.entries()
 
 

@@ -29,6 +29,7 @@ messages, and both :mod:`repro.serve.server` and
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Dict, Optional, Tuple, Union
 
 PROTOCOL_VERSION = 1
@@ -178,10 +179,14 @@ def parse_request(line: Union[bytes, str]) -> Dict[str, Any]:
 
     deadline = request.get("deadline_ms")
     if deadline is not None:
+        # json.loads accepts NaN, Infinity, 1e400 (-> inf) and integers
+        # past the float range; none of them is a usable timeout.  The
+        # chained comparison is False for NaN and exact for big ints.
         if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-                or deadline <= 0:
+                or not 0 < deadline <= sys.float_info.max:
             raise ProtocolError(
-                "bad_request", "field 'deadline_ms' must be a positive number"
+                "bad_request",
+                "field 'deadline_ms' must be a positive finite number",
             )
 
     if op in DATA_OPS:

@@ -1,185 +1,22 @@
-"""Correctness proofs for block-vectorized merge scoring (kernel="numpy").
+"""Kernel-option contract left behind by the removed numpy block scorer.
 
-The numpy kernel rescopes *where* stale candidates get rescored (a
-vectorized block warming the merge memo) but must not change *what* the
-build computes: the merge sequence and the final sketch have to stay
-bitwise-identical to the dicts and arrays paths.  The drain discipline
-itself is untouched -- ``_block_refresh`` pops heap entries and pushes
-them back unchanged -- so the single new proof obligation is that
-``KernelPartition.eval_block`` scores bitwise-identically to
-``_eval_raw``.  These tests pin both halves, plus the fallback contract:
-``kernel="auto"`` silently degrades when numpy is absent and explicit
-``kernel="numpy"`` fails fast with a clear error.
+``kernel="numpy"`` used to select a block-vectorized merge scorer.  That
+backend is gone, so the name is now just another unknown kernel: asking
+for it (with or without numpy installed) must fail fast with a clear
+error naming the value, exactly as any other unknown kernel does.
 """
 
 import random
 
 import pytest
 
-from repro import obs
-from repro.core import build as build_mod
-from repro.core import kernel as kernel_mod
-from repro.core.build import TSBuildOptions, TreeSketchBuilder, build_treesketch
-from repro.core.kernel import KernelPartition
-from repro.core.npsupport import have_numpy
-from repro.core.partition import MergePartition
-from repro.core.pool import create_pool_reference
+from repro.core.build import TSBuildOptions, TreeSketchBuilder
 from repro.core.stable import build_stable
 from tests.conftest import make_random_tree
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
-
-
-def _sketch_state(sketch):
-    return (
-        dict(sketch.label),
-        dict(sketch.count),
-        dict(sketch.stats),
-        {k: dict(v) for k, v in sketch.out.items()},
-        sketch.root_id,
-    )
-
-
-def _traced_build(stable, options, budget):
-    """Build and record the exact merge sequence the drain loop applied."""
-    builder = TreeSketchBuilder(stable, options)
-    part = builder.partition
-    seq = []
-    orig = part.apply_merge
-
-    def tracer(u, v):
-        seq.append((u, v))
-        return orig(u, v)
-
-    part.apply_merge = tracer
-    sketch = builder.compress_to(budget)
-    return sketch, seq
-
-
-def _force_block_path(monkeypatch):
-    """Make small test documents exercise the vector path.
-
-    The production thresholds (REFRESH_MIN_SOURCES, MIN_VECTOR_SOURCES)
-    are speed knobs sized for XMark-scale unions; correctness must hold
-    at any setting, so tests drop them to zero to route every stale pop
-    through the block path and every block pair through the numpy scorer.
-    """
-    monkeypatch.setattr(build_mod, "REFRESH_MIN_SOURCES", 0)
-    monkeypatch.setattr(kernel_mod, "MIN_VECTOR_SOURCES", 0)
-
-
-KERNELS = ("dicts", "arrays", "numpy")
-
-
-@needs_numpy
-@pytest.mark.parametrize("seed,budget_kb", [(7, 2), (21, 3), (99, 2)])
-def test_merge_sequence_identical_across_kernels(seed, budget_kb, monkeypatch):
-    """Same merges, same order, same sketch -- on all three kernels.
-
-    The merge sequence is the strongest observable: two builds that merge
-    the same pairs in the same order are the same build.  Thresholds are
-    forced down so the numpy arm actually takes the block path on these
-    small documents (the counter assert proves it did).
-    """
-    _force_block_path(monkeypatch)
-    rng = random.Random(seed)
-    stable = build_stable(make_random_tree(rng, 600))
-    budget = budget_kb * 1024
-    results = {}
-    with obs.observed() as registry:
-        for kernel in KERNELS:
-            results[kernel] = _traced_build(
-                stable, TSBuildOptions(kernel=kernel), budget
-            )
-    flat = obs.report.flatten_snapshot(registry.snapshot())
-    assert flat["counters.tsbuild.block_rescores"] > 0  # numpy arm took it
-    ref_sketch, ref_seq = results["dicts"]
-    assert ref_seq, "build applied no merges; test is vacuous"
-    for kernel in ("arrays", "numpy"):
-        sketch, seq = results[kernel]
-        assert seq == ref_seq, f"{kernel} merge sequence diverged"
-        assert _sketch_state(sketch) == _sketch_state(ref_sketch)
-
-
-@pytest.mark.parametrize("seed", [7, 21, 99])
-def test_sketch_identical_with_and_without_numpy(seed, monkeypatch):
-    """REPRO_NO_NUMPY must not change a bit of auto's output."""
-    rng = random.Random(seed)
-    stable = build_stable(make_random_tree(rng, 500))
-    budget = 4 * 1024
-    with_np = build_treesketch(stable, budget, TSBuildOptions(kernel="auto"))
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    without = build_treesketch(stable, budget, TSBuildOptions(kernel="auto"))
-    assert _sketch_state(with_np) == _sketch_state(without)
-
-
-@needs_numpy
-def test_eval_block_bitwise_identical_to_eval_raw(monkeypatch):
-    """The one new proof obligation: vector scores == scalar scores, bitwise.
-
-    Covers evolving (post-merge) states and both orientations of every
-    candidate pair, with MIN_VECTOR_SOURCES=0 so even tiny unions go
-    through the numpy code path instead of the scalar fallback.
-    """
-    monkeypatch.setattr(kernel_mod, "MIN_VECTOR_SOURCES", 0)
-    checked = 0
-    for seed in (0, 5, 17, 40):
-        rng = random.Random(seed)
-        stable = build_stable(make_random_tree(rng, 250))
-        # Pool generation needs the reference scorer, which lives on the
-        # dict partition; merges are mirrored so both stay in lockstep.
-        dicts = MergePartition(stable)
-        part = KernelPartition(stable)
-        assert part.enable_vector_blocks()
-        for _ in range(4):
-            pool = create_pool_reference(dicts, heap_upper=60, pair_window=None)
-            if not pool:
-                break
-            pairs = [(u, v) for _r, _e, _s, u, v in pool]
-            pairs += [(v, u) for u, v in pairs]
-            scalar = [part._eval_raw(u, v) for u, v in pairs]
-            vector = part.eval_block(pairs)
-            assert vector == scalar  # tuple equality is exact: bitwise
-            checked += len(pairs)
-            _r, _e, _s, u, v = min(pool)
-            dicts.apply_merge(u, v)
-            part.apply_merge(u, v)
-    assert checked > 200
-
-
-@needs_numpy
-def test_block_counters_and_memo_accounting(monkeypatch):
-    """The block path reports its work: rescores counter, size histogram."""
-    _force_block_path(monkeypatch)
-    rng = random.Random(12)
-    stable = build_stable(make_random_tree(rng, 600))
-    with obs.observed() as registry:
-        build_treesketch(stable, 3 * 1024, TSBuildOptions(kernel="numpy"))
-    flat = obs.report.flatten_snapshot(registry.snapshot())
-    assert flat["counters.tsbuild.kernel_numpy"] == 1
-    assert flat["counters.tsbuild.block_rescores"] > 0
-    assert flat["histograms.tsbuild.block_size.count"] > 0
-    # Every block fill is memo traffic: misses when filled, hits when the
-    # warmed entries are served back to surfacing pops.
-    assert flat["counters.tsbuild.memo_misses"] > 0
-    assert flat["counters.tsbuild.memo_hits"] > 0
-
-
-@needs_numpy
-def test_numpy_kernel_counters_registered_even_when_idle():
-    """A numpy build that never triggers a block still reports zeros."""
-    rng = random.Random(3)
-    stable = build_stable(make_random_tree(rng, 200))
-    with obs.observed() as registry:
-        # Default thresholds: tiny unions never reach REFRESH_MIN_SOURCES.
-        build_treesketch(stable, 2 * 1024, TSBuildOptions(kernel="numpy"))
-    flat = obs.report.flatten_snapshot(registry.snapshot())
-    assert flat["counters.tsbuild.kernel_numpy"] == 1
-    assert flat["counters.tsbuild.block_rescores"] == 0
-
 
 class TestFallbackContract:
-    """kernel="auto" degrades silently; kernel="numpy" fails fast."""
+    """Unknown kernels, ``"numpy"`` included, are rejected up front."""
 
     def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -188,34 +25,8 @@ class TestFallbackContract:
         with pytest.raises(ValueError, match="numpy"):
             TreeSketchBuilder(stable, TSBuildOptions(kernel="numpy"))
 
-    def test_auto_without_numpy_selects_arrays_silently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        rng = random.Random(1)
-        stable = build_stable(make_random_tree(rng, 300))
-        with obs.observed() as registry:
-            build_treesketch(stable, 2 * 1024, TSBuildOptions(kernel="auto"))
-        flat = obs.report.flatten_snapshot(registry.snapshot())
-        assert flat["counters.tsbuild.kernel_arrays"] == 1
-        assert "counters.tsbuild.kernel_numpy" not in flat
-
-    @needs_numpy
-    def test_auto_with_numpy_selects_numpy(self):
-        rng = random.Random(1)
-        stable = build_stable(make_random_tree(rng, 300))
-        with obs.observed() as registry:
-            build_treesketch(stable, 2 * 1024, TSBuildOptions(kernel="auto"))
-        flat = obs.report.flatten_snapshot(registry.snapshot())
-        assert flat["counters.tsbuild.kernel_numpy"] == 1
-
     def test_unknown_kernel_rejected(self):
         rng = random.Random(1)
         stable = build_stable(make_random_tree(rng, 50))
         with pytest.raises(ValueError, match="simd"):
             TreeSketchBuilder(stable, TSBuildOptions(kernel="simd"))
-
-    def test_enable_vector_blocks_reports_failure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        rng = random.Random(1)
-        part = KernelPartition(build_stable(make_random_tree(rng, 80)))
-        assert part.enable_vector_blocks() is False
-        assert part.vector_blocks is False

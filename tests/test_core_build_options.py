@@ -86,20 +86,17 @@ class TestKernelAutoSelection:
 
     def test_sparse_shape_selects_kernel(self, stable, monkeypatch):
         from repro.core.build import AUTO_DICTS_DENSITY
-        from repro.core.npsupport import have_numpy
 
         density = stable.num_edges / max(1, len(stable.count))
         assert density < AUTO_DICTS_DENSITY
-        # With numpy present the kernel is upgraded to vectorized block
-        # scoring; without it, auto stays on the plain arrays kernel.
+        # The choice depends on shape alone, never on numpy being present.
         flat = self._flat_counters(stable)
-        expected = "numpy" if have_numpy() else "arrays"
-        assert flat[f"counters.tsbuild.kernel_{expected}"] == 1
+        assert flat["counters.tsbuild.kernel_arrays"] == 1
         assert "counters.tsbuild.kernel_dicts" not in flat
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         flat = self._flat_counters(stable)
         assert flat["counters.tsbuild.kernel_arrays"] == 1
-        assert "counters.tsbuild.kernel_numpy" not in flat
+        assert "counters.tsbuild.kernel_dicts" not in flat
 
     def test_explicit_kernels_still_honoured(self, stable):
         flat = self._flat_counters(stable, kernel="dicts")
@@ -114,3 +111,28 @@ class TestKernelAutoSelection:
             stable, budget, TSBuildOptions(kernel="arrays"))
         assert auto.size_bytes() == explicit.size_bytes()
         assert auto.squared_error() == explicit.squared_error()
+
+
+class TestScoringWorkCounters:
+    """Memo misses come from exactly two places: CREATEPOOL scoring
+    (``tsbuild.pool.scored``) and stale heap pops
+    (``tsbuild.drain.rescored``); the two sum to ``tsbuild.memo_misses``."""
+
+    @pytest.mark.parametrize("kernel", ["dicts", "arrays"])
+    def test_pool_and_drain_split_memo_misses(self, stable, kernel):
+        from repro import obs
+
+        with obs.observed() as registry:
+            builder = TreeSketchBuilder(stable, TSBuildOptions(kernel=kernel))
+            # A budget sweep on one builder: several compress_to calls,
+            # each regenerating the pool at least once.
+            for divisor in (2, 3, 5):
+                builder.compress_to(stable.size_bytes() // divisor)
+        flat = obs.report.flatten_snapshot(registry.snapshot())
+        assert flat["counters.tsbuild.pool_regenerations"] >= 3
+        scored = flat["counters.tsbuild.pool.scored"]
+        rescored = flat["counters.tsbuild.drain.rescored"]
+        assert scored > 0 and rescored > 0
+        assert scored + rescored == flat["counters.tsbuild.memo_misses"]
+        assert flat["counters.tsbuild.memo_misses"] == \
+            builder.partition.memo_misses

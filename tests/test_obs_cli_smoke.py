@@ -78,22 +78,13 @@ class TestKernelFlag:
         out = self._stats_out(xml_file, tmp_path, capsys, "--kernel", "dicts")
         assert "tsbuild.kernel_dicts" in out
 
-    def test_kernel_numpy_reports_block_counters(self, xml_file, tmp_path,
-                                                 capsys):
-        from repro.core.npsupport import have_numpy
-
-        if not have_numpy():
-            pytest.skip("numpy unavailable")
-        out = self._stats_out(xml_file, tmp_path, capsys, "--kernel", "numpy")
-        assert "tsbuild.kernel_numpy" in out
-        assert "tsbuild.block_rescores" in out
-
     def test_unknown_kernel_rejected(self, xml_file, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", xml_file, "--budget-kb", "1",
-                  "-o", str(tmp_path / "s.json"), "--kernel", "simd"])
-        assert exc.value.code == 2  # argparse usage error names the choices
-        assert "invalid choice: 'simd'" in capsys.readouterr().err
+        for kernel in ("simd", "numpy"):
+            with pytest.raises(SystemExit) as exc:
+                main(["build", xml_file, "--budget-kb", "1",
+                      "-o", str(tmp_path / "s.json"), "--kernel", kernel])
+            assert exc.value.code == 2  # argparse usage error names choices
+            assert f"invalid choice: '{kernel}'" in capsys.readouterr().err
 
     def test_workload_accepts_kernel(self, xml_file, capsys):
         assert main(["workload", xml_file, "--budget-kb", "1",
